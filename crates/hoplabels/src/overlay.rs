@@ -25,17 +25,25 @@
 //!                         frozen(s, a) + D[a][b] + frozen(b, t) )
 //! ```
 //!
-//! The closure itself is computed the same way: seed an `|A| × |A|`
-//! matrix with `min(frozen(x, y), new-edge weight)` and run
-//! Floyd–Warshall — old-graph segments between affected vertices are
-//! already covered by frozen queries, so the closure is exact for `G'`.
+//! The closure is maintained incrementally, one batch at a time, by
+//! [`OverlaySnapshot::extend`]. A vertex new to `A` gets its row and
+//! column from frozen queries against `A`, closed through the existing
+//! `D` (any path from it to `b` either stays in the old graph or
+//! reaches a first overlay tail `a` through the old graph, so
+//! `D[x][b] = min(frozen(x, b), min_a frozen(x, a) + D[a][b])`, and the
+//! same for columns). Each batch edge `(u, v, w)` that beats `D[u][v]`
+//! then relaxes every pair, `D[i][j] = min(D[i][j], D[i][u] + w +
+//! D[v][j])` — exact because a shortest path crosses a given positive
+//! edge at most once. An undirected edge is relaxed as both arcs.
+//! Building a snapshot from nothing is the same call on an empty one.
 //!
-//! Cost model: a snapshot rebuild is `O(|A|²)` frozen queries plus an
-//! `O(|A|³)` closure, and each query against a non-empty overlay adds
-//! `O(|A|)` frozen point queries plus an `O(|A|²)` scan. Both are
-//! intentionally bounded by keeping the overlay small and compacting
-//! (full rebuild on the mutated graph, which empties the overlay) once
-//! it crosses a threshold.
+//! Cost model: a batch of `δ` edges costs `O(δ·|A|)` frozen queries
+//! (the rows and columns of its new vertices, batched through one
+//! `query_many_into`) plus `O(δ·|A|²)` arithmetic, and copying the
+//! `|A|²` matrix into the new snapshot. Each query against a non-empty
+//! overlay adds `O(|A|)` frozen point queries plus an `O(|A|²)` scan.
+//! Both stay bounded by compacting (full rebuild on the mutated graph,
+//! which empties the overlay) once the overlay crosses a threshold.
 //!
 //! [`LiveIndex`] packages a frozen backend plus one immutable snapshot
 //! behind [`QueryBackend`], so the serving tier swaps whole snapshots
@@ -54,14 +62,15 @@ use crate::query::QueryBackend;
 
 /// An immutable view of a batch of edge insertions on top of a frozen
 /// index: the affected vertices and the exact distance closure among
-/// them on the mutated graph. Built once per update batch, then shared
-/// read-only by every in-flight query.
-#[derive(Debug, Default)]
+/// them on the mutated graph. Each update batch derives a new snapshot
+/// from the previous one ([`OverlaySnapshot::extend`]), which is then
+/// shared read-only by every in-flight query.
+#[derive(Clone, Debug, Default)]
 pub struct OverlaySnapshot {
     directed: bool,
     /// Deduplicated inserted edges, minimum weight per endpoint pair;
-    /// undirected edges normalised to `u < v`. Kept so the overlay can
-    /// be merged into the next snapshot and replayed by a compactor.
+    /// undirected edges normalised to `u < v`; sorted. Kept so the
+    /// overlay can be replayed by a compactor.
     edges: Vec<(VertexId, VertexId, Dist)>,
     /// Sorted endpoints of all inserted edges (the affected set `A`).
     verts: Vec<VertexId>,
@@ -76,26 +85,35 @@ pub struct OverlaySnapshot {
 
 impl OverlaySnapshot {
     /// An overlay with no edges; queries pass through unchanged.
-    pub fn empty() -> OverlaySnapshot {
-        OverlaySnapshot::default()
+    pub fn empty(directed: bool) -> OverlaySnapshot {
+        OverlaySnapshot { directed, ..OverlaySnapshot::default() }
     }
 
-    /// Build a snapshot for `edges` (in rank space) over `frozen`.
+    /// The successor snapshot covering this one's edges plus `batch`
+    /// (rank space). Copy-on-write: `self` is left untouched, so
+    /// readers pinned to it keep answering from it.
     ///
     /// Self-loops are dropped and zero weights clamped to 1, mirroring
     /// `sfgraph::GraphBuilder`'s cleaning rules so that a later full
     /// rebuild of the mutated graph answers identically. Duplicate
-    /// insertions keep the minimum weight; an edge the frozen graph
-    /// already covers with a smaller weight is harmless (the `min`
-    /// never loses to it).
-    pub fn build(
+    /// insertions keep the minimum weight; an edge the frozen graph or
+    /// the overlay already covers with a smaller weight is harmless
+    /// (the `min` never loses to it).
+    pub fn extend(
+        &self,
         frozen: &dyn QueryBackend,
-        edges: &[(VertexId, VertexId, Dist)],
+        batch: &[(VertexId, VertexId, Dist)],
     ) -> io::Result<OverlaySnapshot> {
-        let directed = frozen.is_directed();
+        let directed = self.directed;
+        if frozen.is_directed() != directed {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "overlay and frozen index disagree on directedness",
+            ));
+        }
         let mut dedup: std::collections::BTreeMap<(VertexId, VertexId), Dist> =
             std::collections::BTreeMap::new();
-        for &(u, v, w) in edges {
+        for &(u, v, w) in batch {
             if u == v {
                 continue;
             }
@@ -104,50 +122,90 @@ impl OverlaySnapshot {
             let slot = dedup.entry(key).or_insert(w);
             *slot = (*slot).min(w);
         }
-        let edges: Vec<(VertexId, VertexId, Dist)> =
+        if dedup.is_empty() {
+            return Ok(self.clone());
+        }
+        let batch: Vec<(VertexId, VertexId, Dist)> =
             dedup.into_iter().map(|((u, v), w)| (u, v, w)).collect();
-        if edges.is_empty() {
-            return Ok(OverlaySnapshot { directed, ..OverlaySnapshot::default() });
-        }
+        let edges = merge_min(&self.edges, &batch);
 
-        let mut verts: Vec<VertexId> = edges.iter().flat_map(|&(u, v, _)| [u, v]).collect();
+        let old = &self.verts;
+        let mut fresh: Vec<VertexId> = batch
+            .iter()
+            .flat_map(|&(u, v, _)| [u, v])
+            .filter(|x| old.binary_search(x).is_err())
+            .collect();
+        fresh.sort_unstable();
+        fresh.dedup();
+        let mut verts = [old.as_slice(), &fresh].concat();
         verts.sort_unstable();
-        verts.dedup();
-        let k = verts.len();
+        let (k0, k) = (old.len(), verts.len());
         let pos = |v: VertexId| verts.binary_search(&v).expect("endpoint in verts");
+        let old_at: Vec<usize> = old.iter().map(|&v| pos(v)).collect();
+        let fresh_at: Vec<usize> = fresh.iter().map(|&v| pos(v)).collect();
 
-        // Base matrix: old-graph distances between affected vertices,
-        // improved by the direct new edges.
+        // Old distances keep their values; only their slots move.
         let mut closure = vec![INF_DIST; k * k];
-        for (i, &a) in verts.iter().enumerate() {
-            for (j, &b) in verts.iter().enumerate() {
-                closure[i * k + j] = if i == j { 0 } else { frozen.query(a, b)? };
+        for (i, &pi) in old_at.iter().enumerate() {
+            for (j, &pj) in old_at.iter().enumerate() {
+                closure[pi * k + pj] = self.closure[i * k0 + j];
             }
         }
-        for &(u, v, w) in &edges {
-            let (pu, pv) = (pos(u), pos(v));
-            let forward = &mut closure[pu * k + pv];
-            *forward = (*forward).min(w);
-            if !directed {
-                let backward = &mut closure[pv * k + pu];
-                *backward = (*backward).min(w);
+
+        // Frozen distances of every new vertex: its row against all of
+        // `A'`, then (directed only; undirected columns mirror rows) its
+        // column against the old `A`.
+        let mut pairs: Vec<(VertexId, VertexId)> =
+            fresh.iter().flat_map(|&x| verts.iter().map(move |&b| (x, b))).collect();
+        if directed {
+            pairs.extend(fresh.iter().flat_map(|&y| old.iter().map(move |&a| (a, y))));
+        }
+        let mut frozen_dist = Vec::with_capacity(pairs.len());
+        frozen.query_many_into(&pairs, 1, &mut frozen_dist)?;
+        let (rows, cols) = frozen_dist.split_at(fresh.len() * k);
+        let row = |f: usize| &rows[f * k..(f + 1) * k];
+        let col = |f: usize, i: usize| if directed { cols[f * k0 + i] } else { row(f)[old_at[i]] };
+
+        // Columns first: `D[a][y]` over old `a` closes through old
+        // overlay heads, `min(frozen(a, y), D[a][b] + frozen(b, y))`.
+        for (f, &py) in fresh_at.iter().enumerate() {
+            for (i, &pa) in old_at.iter().enumerate() {
+                let old_row = &self.closure[i * k0..(i + 1) * k0];
+                let mut best = col(f, i);
+                for &b in &self.dsts {
+                    let cand = old_row[b as usize].saturating_add(col(f, b as usize));
+                    best = best.min(cand);
+                }
+                closure[pa * k + py] = best;
             }
         }
-        // Floyd–Warshall closes the matrix over paths alternating
-        // old-graph segments and new edges — exactly the mutated-graph
-        // distances among `verts`.
-        for m in 0..k {
-            for i in 0..k {
-                let dim = closure[i * k + m];
-                if dim == INF_DIST {
+        // Then rows over all of `A'`: `min(frozen(x, b), frozen(x, a) +
+        // D[a][b])` through old overlay tails `a`, whose rows now hold
+        // the columns of every new vertex too.
+        for (f, &px) in fresh_at.iter().enumerate() {
+            let frozen_row = row(f);
+            let mut out = frozen_row.to_vec();
+            for &a in &self.srcs {
+                let pa = old_at[a as usize];
+                let da = frozen_row[pa];
+                if da == INF_DIST {
                     continue;
                 }
-                for j in 0..k {
-                    let cand = dim.saturating_add(closure[m * k + j]);
-                    if cand < closure[i * k + j] {
-                        closure[i * k + j] = cand;
-                    }
+                for (slot, &dab) in out.iter_mut().zip(&closure[pa * k..(pa + 1) * k]) {
+                    *slot = (*slot).min(da.saturating_add(dab));
                 }
+            }
+            out[px] = 0;
+            closure[px * k..(px + 1) * k].copy_from_slice(&out);
+        }
+
+        // Every batch arc that beats the current closure relaxes all
+        // pairs through itself.
+        for &(u, v, w) in &batch {
+            let (pu, pv) = (pos(u), pos(v));
+            relax_arc(&mut closure, k, pu, pv, w);
+            if !directed {
+                relax_arc(&mut closure, k, pv, pu, w);
             }
         }
 
@@ -239,6 +297,54 @@ impl OverlaySnapshot {
     }
 }
 
+/// Merge two sorted, deduplicated edge lists, keeping the minimum
+/// weight where both hold the same endpoint pair.
+fn merge_min(
+    a: &[(VertexId, VertexId, Dist)],
+    b: &[(VertexId, VertexId, Dist)],
+) -> Vec<(VertexId, VertexId, Dist)> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (ka, kb) = ((a[i].0, a[i].1), (b[j].0, b[j].1));
+        if ka < kb {
+            out.push(a[i]);
+            i += 1;
+        } else if kb < ka {
+            out.push(b[j]);
+            j += 1;
+        } else {
+            out.push((ka.0, ka.1, a[i].2.min(b[j].2)));
+            i += 1;
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Insert the arc `u → v` of weight `w` into the exact `k × k` closure
+/// `d`: `d[i][j] = min(d[i][j], d[i][u] + w + d[v][j])`. The path
+/// segments are read before any write, from the closure without the
+/// arc, which is exact since a shortest path uses the arc at most once.
+fn relax_arc(d: &mut [Dist], k: usize, u: usize, v: usize, w: Dist) {
+    if w >= d[u * k + v] {
+        return;
+    }
+    let to_u: Vec<Dist> = (0..k).map(|i| d[i * k + u]).collect();
+    let from_v: Vec<Dist> = d[v * k..(v + 1) * k].to_vec();
+    for (i, &du) in to_u.iter().enumerate() {
+        let via = du.saturating_add(w);
+        if via == INF_DIST {
+            continue;
+        }
+        for (slot, &dv) in d[i * k..(i + 1) * k].iter_mut().zip(&from_v) {
+            *slot = (*slot).min(via.saturating_add(dv));
+        }
+    }
+}
+
 /// A frozen backend plus one immutable overlay snapshot, served as a
 /// single [`QueryBackend`]: `query` answers `min(frozen, overlay)`.
 ///
@@ -256,7 +362,8 @@ pub struct LiveIndex {
 impl LiveIndex {
     /// Wrap a frozen backend with an empty overlay.
     pub fn new(frozen: Arc<dyn QueryBackend>, generation: u64) -> LiveIndex {
-        LiveIndex { frozen, overlay: Arc::new(OverlaySnapshot::empty()), generation }
+        let overlay = Arc::new(OverlaySnapshot::empty(frozen.is_directed()));
+        LiveIndex { frozen, overlay, generation }
     }
 
     /// Wrap a frozen backend with an existing snapshot.
@@ -269,16 +376,26 @@ impl LiveIndex {
     }
 
     /// A new `LiveIndex` over the same frozen labels whose overlay
-    /// covers `edges` (rank space, the *complete* desired edge set —
-    /// callers merge old overlay edges with the new batch themselves,
-    /// typically by keeping an append-only log).
+    /// covers exactly `edges` (rank space, the *complete* desired edge
+    /// set), built from an empty overlay.
     pub fn rebuild_overlay(&self, edges: &[(VertexId, VertexId, Dist)]) -> io::Result<LiveIndex> {
-        let snapshot = OverlaySnapshot::build(&*self.frozen, edges)?;
-        Ok(LiveIndex {
+        let empty = OverlaySnapshot::empty(self.frozen.is_directed());
+        Ok(self.with_snapshot(empty.extend(&*self.frozen, edges)?))
+    }
+
+    /// A new `LiveIndex` over the same frozen labels whose overlay
+    /// covers the current overlay's edges plus `batch` (rank space).
+    /// Costs the batch, not the whole overlay; `self` is untouched.
+    pub fn extend_overlay(&self, batch: &[(VertexId, VertexId, Dist)]) -> io::Result<LiveIndex> {
+        Ok(self.with_snapshot(self.overlay.extend(&*self.frozen, batch)?))
+    }
+
+    fn with_snapshot(&self, snapshot: OverlaySnapshot) -> LiveIndex {
+        LiveIndex {
             frozen: Arc::clone(&self.frozen),
             overlay: Arc::new(snapshot),
             generation: self.generation,
-        })
+        }
     }
 
     /// The frozen half.
@@ -462,14 +579,128 @@ mod tests {
         let frozen: Arc<dyn QueryBackend> = Arc::new(FlatIndex::from_index(&full_index(&g)));
         // Self-loop dropped, duplicates keep min, zero clamps to 1,
         // mirrored undirected edges merge.
-        let snap = OverlaySnapshot::build(
-            &*frozen,
-            &[(2, 2, 1), (1, 2, 9), (2, 1, 4), (3, 2, 0), (1, 2, 6)],
-        )
-        .unwrap();
+        let snap = OverlaySnapshot::empty(false)
+            .extend(&*frozen, &[(2, 2, 1), (1, 2, 9), (2, 1, 4), (3, 2, 0), (1, 2, 6)])
+            .unwrap();
         assert_eq!(snap.num_edges(), 2);
         assert_eq!(snap.edges(), &[(1, 2, 4), (2, 3, 1)]);
         assert_eq!(snap.affected(), 3);
         assert_eq!(snap.improve(&*frozen, 0, 3, INF_DIST).unwrap(), 10);
+    }
+
+    /// A random batch mixing every case the overlay must clean or
+    /// close: duplicates, weight decreases on overlay edges, self-loops,
+    /// zero weights, edges inside `A` and edges to new vertices.
+    fn random_batch(
+        rng: &mut rand::rngs::StdRng,
+        n: u32,
+        prefix: &[(VertexId, VertexId, Dist)],
+    ) -> Vec<(VertexId, VertexId, Dist)> {
+        use rand::Rng;
+        let mut batch = Vec::new();
+        for _ in 0..rng.gen_range(1..6) {
+            let edge = match rng.gen_range(0..6) {
+                0 if !prefix.is_empty() => {
+                    let (u, v, w) = prefix[rng.gen_range(0..prefix.len())];
+                    (u, v, w.saturating_sub(rng.gen_range(0..3)))
+                }
+                1 if !prefix.is_empty() => {
+                    let (a, b) = (rng.gen_range(0..prefix.len()), rng.gen_range(0..prefix.len()));
+                    (prefix[a].0, prefix[b].1, rng.gen_range(1..8))
+                }
+                2 => {
+                    let v = rng.gen_range(0..n);
+                    (v, v, 1)
+                }
+                3 => (rng.gen_range(0..n), rng.gen_range(0..n), 0),
+                _ => (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..8)),
+            };
+            batch.push(edge);
+            if rng.gen_range(0..4) == 0 {
+                batch.push(edge);
+            }
+        }
+        batch
+    }
+
+    fn graph(directed: bool, n: u32, edges: &[(VertexId, VertexId, Dist)]) -> Graph {
+        let mut b = if directed {
+            GraphBuilder::new_directed(n as usize).weighted()
+        } else {
+            GraphBuilder::new_undirected(n as usize).weighted()
+        };
+        for &(u, v, w) in edges {
+            b.add_weighted_edge(u, v, w);
+        }
+        b.build()
+    }
+
+    /// Chained `extend` snapshots agree with one from-empty `extend` over
+    /// the whole prefix after every batch, and both answer every pair
+    /// like graph search on the mutated graph.
+    fn check_chained_extend_matches_one_shot(directed: bool, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(6..24u32);
+        let mut edges: Vec<(VertexId, VertexId, Dist)> = (0..rng.gen_range(n..2 * n))
+            .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1..9)))
+            .collect();
+        let frozen: Arc<dyn QueryBackend> =
+            Arc::new(FlatIndex::from_index(&full_index(&graph(directed, n, &edges))));
+        let mut chained = OverlaySnapshot::empty(directed);
+        let mut prefix = Vec::new();
+        for step in 0..10 {
+            let batch = random_batch(&mut rng, n, &prefix);
+            chained = chained.extend(&*frozen, &batch).unwrap();
+            prefix.extend_from_slice(&batch);
+            edges.extend_from_slice(&batch);
+            let built = OverlaySnapshot::empty(directed).extend(&*frozen, &prefix).unwrap();
+            let at = format!("seed {seed} step {step}");
+            assert_eq!(chained.edges(), built.edges(), "{at}");
+            assert_eq!(chained.affected(), built.affected(), "{at}");
+            assert_eq!(chained.closure, built.closure, "{at}");
+
+            let want = all_pairs(&graph(directed, n, &edges));
+            for s in 0..n {
+                for t in 0..n {
+                    let base = frozen.query(s, t).unwrap();
+                    let (si, ti) = (s as usize, t as usize);
+                    assert_eq!(
+                        chained.improve(&*frozen, s, t, base).unwrap(),
+                        want[si][ti],
+                        "{at}"
+                    );
+                    assert_eq!(built.improve(&*frozen, s, t, base).unwrap(), want[si][ti], "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chained_extend_matches_one_shot_and_ground_truth() {
+        for seed in 0..12 {
+            check_chained_extend_matches_one_shot(false, 900 + seed);
+            check_chained_extend_matches_one_shot(true, 950 + seed);
+        }
+    }
+
+    #[test]
+    fn extend_is_copy_on_write() {
+        let mut b = GraphBuilder::new_undirected(5);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 4)] {
+            b.add_edge(u, v);
+        }
+        let frozen: Arc<dyn QueryBackend> =
+            Arc::new(FlatIndex::from_index(&full_index(&b.build())));
+        let live = LiveIndex::new(Arc::clone(&frozen), 1);
+        let one = live.extend_overlay(&[(0, 4, 1)]).unwrap();
+        let two = one.extend_overlay(&[(0, 2, 1), (0, 0, 3)]).unwrap();
+        assert!(live.overlay().is_empty());
+        assert_eq!((one.overlay().num_edges(), one.query(0, 2).unwrap()), (1, 2));
+        assert_eq!((two.overlay().num_edges(), two.query(0, 2).unwrap()), (2, 1));
+        assert_eq!(two.query(4, 2).unwrap(), 2);
+        // An empty (or all-self-loop) batch leaves the overlay as it was.
+        let same = two.extend_overlay(&[(3, 3, 1)]).unwrap();
+        assert_eq!(same.overlay().edges(), two.overlay().edges());
     }
 }

@@ -16,8 +16,8 @@
 //! * a **swap or compaction** publishes a new frozen index under a
 //!   bumped generation number;
 //! * an **update batch** publishes a copy-on-write successor sharing
-//!   the same frozen index (same generation number) with a rebuilt
-//!   overlay snapshot.
+//!   the same frozen index (same generation number) with an overlay
+//!   snapshot extended by the batch.
 //!
 //! Requests that pinned the old `Arc` finish on it untouched, so every
 //! response is consistent with exactly one `(frozen, overlay)` state.
@@ -132,27 +132,29 @@ impl LiveGeneration {
     }
 
     /// A successor generation sharing this one's frozen index whose
-    /// overlay covers `log` — the *complete* list of edge insertions
-    /// `(s, t, w)` in original (public) id space accumulated since the
-    /// frozen index was built. Self-loops are dropped and zero weights
-    /// clamped to 1, matching `sfgraph::GraphBuilder`, so a later full
-    /// rebuild of the mutated graph answers identically.
+    /// overlay covers this generation's overlay edges plus `batch` —
+    /// the *new* edge insertions `(s, t, w)` in original (public) id
+    /// space. Only the batch is range-checked, ranked and closed into
+    /// the overlay, so the cost follows the batch, not the log.
+    /// Self-loops are dropped and zero weights clamped to 1, matching
+    /// `sfgraph::GraphBuilder`, so a later full rebuild of the mutated
+    /// graph answers identically.
     pub fn with_updates(
         &self,
-        log: &[(VertexId, VertexId, Dist)],
+        batch: &[(VertexId, VertexId, Dist)],
     ) -> Result<LiveGeneration, String> {
         let n = self.vertices as VertexId;
-        for &(s, t, _) in log {
+        for &(s, t, _) in batch {
             if s >= n || t >= n {
                 return Err(format!("vertex out of range: ({s}, {t}) on a {n}-vertex index"));
             }
         }
         let ranked: Vec<(VertexId, VertexId, Dist)> = match &self.ranking {
-            Some(r) => log.iter().map(|&(s, t, w)| (r.rank_of(s), r.rank_of(t), w)).collect(),
-            None => log.to_vec(),
+            Some(r) => batch.iter().map(|&(s, t, w)| (r.rank_of(s), r.rank_of(t), w)).collect(),
+            None => batch.to_vec(),
         };
         let index =
-            self.index.rebuild_overlay(&ranked).map_err(|e| format!("overlay rebuild: {e}"))?;
+            self.index.extend_overlay(&ranked).map_err(|e| format!("overlay update: {e}"))?;
         Ok(LiveGeneration {
             index,
             ranking: self.ranking.clone(),
@@ -344,6 +346,10 @@ mod tests {
         // Range violations are rejected before anything is built.
         let err = live.with_updates(&[(1, 2, 3), (0, 9, 1)]).err().unwrap();
         assert!(err.contains("out of range"), "{err}");
+        // A later batch extends the overlay instead of replacing it.
+        let more = live.with_updates(&[(0, 2, 1)]).unwrap();
+        assert_eq!(more.overlay_edges(), 2);
+        assert_eq!(more.query_many(&[(1, 2), (0, 2)], 1).unwrap(), vec![3, 1]);
 
         // With a sidecar, update edges arrive in original id space.
         let ranking = Ranking::from_order(vec![2, 0, 1]);

@@ -203,13 +203,22 @@ impl WakeFd {
 
     /// Consume pending wakes (called by the reactor when its token
     /// fires) so the level-triggered poller stops reporting them.
+    ///
+    /// The counter is read *before* `armed` is cleared. Cleared first,
+    /// a `wake` landing in between would write a count this read then
+    /// swallows while `armed` stays set, suppressing every later wake.
+    /// In this order a `wake` between the read and the clear skips its
+    /// write, which is safe because the caller scans for work after
+    /// `drain` returns: the clear is an acquiring swap that reads the
+    /// skipping `wake`'s releasing swap, so the work that `wake`
+    /// announced is visible to that scan.
     pub fn drain(&self) {
-        self.armed.store(false, Ordering::Release);
         let mut buf = 0u64;
         // SAFETY: the pointer/length pair describes the 8 writable
         // bytes of `buf`, which outlives the call; the eventfd read
         // writes at most 8 bytes.
         let _ = unsafe { read(self.fd.as_raw_fd(), (&raw mut buf).cast::<c_void>(), 8) };
+        self.armed.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -261,5 +270,54 @@ mod tests {
         assert!(writable);
         poller.deregister(&server_side).unwrap();
         assert_eq!(poller.wait(Some(0), |_| {}).unwrap(), 0);
+    }
+
+    /// Bursts of wakes from one thread against a reactor thread parked
+    /// in `wait` with a long timeout: every burst's last wake must be
+    /// observed long before the timeout, so no wake is ever swallowed
+    /// by a concurrent `drain`.
+    #[test]
+    fn concurrent_wakes_are_never_lost() {
+        use std::sync::atomic::AtomicU64;
+        use std::time::{Duration, Instant};
+        const TIMEOUT_MS: i32 = 10_000;
+        let wake = std::sync::Arc::new(WakeFd::new().unwrap());
+        let posted = std::sync::Arc::new(AtomicU64::new(0));
+        let seen = std::sync::Arc::new(AtomicU64::new(0));
+        let done = std::sync::Arc::new(AtomicBool::new(false));
+        let reactor = {
+            let (wake, posted, seen, done) =
+                (wake.clone(), posted.clone(), seen.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut poller = Poller::new(8).unwrap();
+                poller.register(&*wake, EV_READ, 1).unwrap();
+                let mut timeouts = 0;
+                while !done.load(Ordering::Acquire) {
+                    if poller.wait(Some(TIMEOUT_MS), |_| {}).unwrap() == 0 {
+                        timeouts += 1;
+                    }
+                    wake.drain();
+                    // Scan for work after draining, as the reactors do.
+                    seen.store(posted.load(Ordering::Acquire), Ordering::Release);
+                }
+                timeouts
+            })
+        };
+        let deadline = Duration::from_millis(TIMEOUT_MS as u64 / 5);
+        for burst in 0..10_000u64 {
+            for _ in 0..50 {
+                posted.fetch_add(1, Ordering::AcqRel);
+                wake.wake();
+            }
+            let want = posted.load(Ordering::Acquire);
+            let start = Instant::now();
+            while seen.load(Ordering::Acquire) < want {
+                assert!(start.elapsed() < deadline, "burst {burst}: a wake was lost");
+                std::thread::yield_now();
+            }
+        }
+        done.store(true, Ordering::Release);
+        wake.wake();
+        assert_eq!(reactor.join().unwrap(), 0, "progress rode the poll timeout");
     }
 }

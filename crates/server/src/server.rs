@@ -115,9 +115,9 @@ pub struct ServerConfig {
     pub source_graph: Option<PathBuf>,
     /// Deduplicated overlay edges that trigger a background compaction
     /// (0 = only explicit `compact` requests). Overlay query cost grows
-    /// linearly — and snapshot rebuild cost cubically — with the
-    /// affected-vertex count, so the default keeps update batches in
-    /// the low-millisecond range.
+    /// quadratically, and an update batch's cost quadratically per
+    /// batch edge, with the affected-vertex count, so the default
+    /// keeps update batches in the low-millisecond range.
     pub compact_threshold: usize,
     /// Durability directory: every accepted update batch is logged to a
     /// write-ahead log here before it is acknowledged, checkpoints land
@@ -172,6 +172,20 @@ struct DurableState {
     stats: Arc<IoStats>,
 }
 
+/// The edges the serving generation carries beyond the source graph
+/// (`--graph`), in original ids: what a compaction rebuilds from.
+#[derive(Default)]
+struct UpdateLog {
+    /// Edges earlier compactions folded into the frozen image. Kept
+    /// deduplicated (minimum weight per edge), so bounded by the
+    /// distinct edges ever inserted; persisted next to a checkpoint
+    /// image as its `.folded` sidecar.
+    folded: Vec<(u32, u32, u32)>,
+    /// Edges accepted since the frozen image was built — exactly the
+    /// overlay's edges, replayed from the WAL on recovery.
+    pending: Vec<(u32, u32, u32)>,
+}
+
 /// State shared by the accept thread, workers, and the handle.
 struct Shared {
     current: RwLock<Arc<Generation>>,
@@ -183,10 +197,10 @@ struct Shared {
     /// batches, and compaction promotions (queries are never blocked by
     /// this; they only take the brief `current` read lock).
     mutate_serial: Mutex<()>,
-    /// Edge insertions (original ids) accepted since the frozen index
-    /// was built — replayed into every overlay rebuild, consumed by
-    /// compaction, discarded by a swap.
-    update_log: Mutex<Vec<(u32, u32, u32)>>,
+    /// Edge insertions (original ids) beyond the source graph: those
+    /// folded into the frozen image and those pending in the overlay.
+    /// Consumed by compaction, discarded by a swap.
+    update_log: Mutex<UpdateLog>,
     /// Bumped by every swap so an in-flight compaction can detect that
     /// its build no longer describes the serving index and abort.
     swap_epoch: AtomicU64,
@@ -332,7 +346,7 @@ pub fn serve(
         local_addr,
         stop: AtomicBool::new(false),
         mutate_serial: Mutex::new(()),
-        update_log: Mutex::new(recovery.log),
+        update_log: Mutex::new(UpdateLog { folded: recovery.folded, pending: recovery.log }),
         swap_epoch: AtomicU64::new(0),
         compact_tx: Mutex::new(Some(compact_tx)),
         compactions: AtomicU64::new(0),
@@ -378,8 +392,10 @@ struct Recovery {
     /// exists, otherwise the path handed to [`serve`].
     boot_path: PathBuf,
     /// Replayed acknowledged updates, flattened in append order — the
-    /// initial `update_log`.
+    /// initial pending `update_log`.
     log: Vec<(u32, u32, u32)>,
+    /// The boot checkpoint's folded edges (its `.folded` sidecar).
+    folded: Vec<(u32, u32, u32)>,
     durable: Option<DurableState>,
     epoch: u64,
     wal_records: u64,
@@ -397,6 +413,7 @@ fn recover_durable(index_path: &Path, config: &ServerConfig) -> std::io::Result<
     let no_wal = Recovery {
         boot_path: index_path.to_path_buf(),
         log: Vec::new(),
+        folded: Vec::new(),
         durable: None,
         epoch: 0,
         wal_records: 0,
@@ -409,7 +426,7 @@ fn recover_durable(index_path: &Path, config: &ServerConfig) -> std::io::Result<
     };
     std::fs::create_dir_all(dir)?;
     let stats = IoStats::shared();
-    let (epoch, boot_path) = match wal::read_manifest(dir)? {
+    let (epoch, boot_path, folded) = match wal::read_manifest(dir)? {
         Some(m) => {
             if !m.index_path.exists() {
                 return Err(std::io::Error::other(format!(
@@ -418,9 +435,11 @@ fn recover_durable(index_path: &Path, config: &ServerConfig) -> std::io::Result<
                     m.index_path.display()
                 )));
             }
-            (m.epoch, m.index_path)
+            let folded =
+                wal::read_folded(&wal::folded_sidecar(&m.index_path), m.epoch, Arc::clone(&stats))?;
+            (m.epoch, m.index_path, folded)
         }
-        None => (0, index_path.to_path_buf()),
+        None => (0, index_path.to_path_buf(), Vec::new()),
     };
     let wal_path = dir.join(wal::wal_file_name(epoch));
     let replay = wal::read_wal(&wal_path, Arc::clone(&stats))?;
@@ -458,6 +477,7 @@ fn recover_durable(index_path: &Path, config: &ServerConfig) -> std::io::Result<
     Ok(Recovery {
         boot_path,
         log,
+        folded,
         epoch,
         wal_records: live.records(),
         wal_bytes: live.bytes(),
@@ -806,7 +826,7 @@ fn do_swap(shared: &Shared) -> std::io::Result<Arc<Generation>> {
         shared.wal_records.store(d.wal.records(), Ordering::Relaxed);
         shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
     }
-    log.clear();
+    *log = UpdateLog::default();
     shared.swap_epoch.fetch_add(1, Ordering::SeqCst);
     let mut current =
         shared.current.write().map_err(|_| std::io::Error::other("server state poisoned"))?;
@@ -833,10 +853,11 @@ pub(crate) fn validate_update_edges(edges: &[(u32, u32, u32)]) -> Result<(), Str
     }
 }
 
-/// Apply one accepted update batch: replay the full log plus the new
-/// edges into a fresh overlay snapshot and promote a copy-on-write
-/// successor generation. Queries pinned to the old `Arc` finish on it;
-/// nothing is committed if validation or the rebuild fails.
+/// Apply one accepted update batch: extend the current overlay by the
+/// new batch alone and promote the copy-on-write successor generation.
+/// The batch is appended to the log too, for compaction. Queries
+/// pinned to the old `Arc` finish on it; nothing is committed if
+/// validation or the overlay update fails.
 fn do_update(shared: &Shared, edges: &[(u32, u32, u32)]) -> Result<(u64, u64), String> {
     validate_update_edges(edges)?;
     let _serial = shared.mutate_serial.lock().map_err(|_| "server state poisoned".to_string())?;
@@ -845,9 +866,7 @@ fn do_update(shared: &Shared, edges: &[(u32, u32, u32)]) -> Result<(u64, u64), S
         Arc::clone(&guard)
     };
     let mut log = shared.update_log.lock().map_err(|_| "server state poisoned".to_string())?;
-    let mut candidate = log.clone();
-    candidate.extend_from_slice(edges);
-    let next = current.with_updates(&candidate)?;
+    let next = current.with_updates(edges)?;
     let generation = next.generation();
     let overlay_edges = next.overlay_edges() as u64;
     // Make the batch durable *before* it becomes observable: only
@@ -860,7 +879,7 @@ fn do_update(shared: &Shared, edges: &[(u32, u32, u32)]) -> Result<(u64, u64), S
         shared.wal_records.store(d.wal.records(), Ordering::Relaxed);
         shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
     }
-    *log = candidate;
+    log.pending.extend_from_slice(edges);
     {
         let mut cur = shared.current.write().map_err(|_| "server state poisoned".to_string())?;
         *cur = Arc::new(next);
@@ -924,7 +943,8 @@ fn sniff_weighted(path: &Path) -> std::io::Result<bool> {
 }
 
 /// Rebuild the frozen index from the configured source graph plus the
-/// pinned prefix of the update log, and promote it as a new generation.
+/// edges earlier compactions folded in plus the pinned prefix of the
+/// update log, and promote it as a new generation.
 ///
 /// The expensive build runs without holding any lock, so queries and
 /// further updates keep flowing; only the final promotion takes the
@@ -950,11 +970,12 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let Some(path) = shared.config.source_graph.as_deref() else {
         return Err("compaction requires the server to be started with --graph".to_string());
     };
-    // Pin: edges up to `pinned_len` go into the rebuilt image; later
-    // arrivals fold into the fresh overlay at promotion time.
-    let (pinned, epoch) = {
+    // Pin: the folded edges and the log up to `pinned_len` go into the
+    // rebuilt image; later arrivals fold into the fresh overlay at
+    // promotion time.
+    let (folded, pinned, epoch) = {
         let log = shared.update_log.lock().map_err(|_| "server state poisoned".to_string())?;
-        (log.clone(), shared.swap_epoch.load(Ordering::SeqCst))
+        (log.folded.clone(), log.pending.clone(), shared.swap_epoch.load(Ordering::SeqCst))
     };
     let pinned_len = pinned.len();
     let (directed, serving_n) = {
@@ -970,7 +991,8 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let file = std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
     let base = sfgraph::io::read_edge_list(BufReader::new(file), directed, weighted_file)
         .map_err(|e| format!("read {}: {e}", path.display()))?;
-    let weighted = weighted_file || pinned.iter().any(|&(_, _, w)| w != 1);
+    let folded = fold_edges(folded, &pinned, directed);
+    let weighted = weighted_file || folded.iter().any(|&(_, _, w)| w != 1);
     let mut builder = if directed {
         sfgraph::GraphBuilder::new_directed(base.num_vertices())
     } else {
@@ -987,7 +1009,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     for (u, v, w) in base.edge_list() {
         builder.add_weighted_edge(u, v, w);
     }
-    for &(s, t, w) in &pinned {
+    for &(s, t, w) in &folded {
         builder.ensure_vertex(s);
         builder.ensure_vertex(t);
         builder.add_weighted_edge(s, t, w);
@@ -1001,14 +1023,14 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let flat = hoplabels::flat::FlatIndex::from_index(&index);
 
     // Stage the checkpoint image while holding no lock: serialize the
-    // rebuilt index and its `.rank` sidecar to fresh files in the WAL
-    // directory and fsync them. Nothing references the staged files
-    // until the manifest flips below, so aborting here merely leaves
-    // garbage for the next `gc_dir` sweep.
+    // rebuilt index, its `.rank` sidecar and its `.folded` edge list to
+    // fresh files in the WAL directory and fsync them. Nothing
+    // references the staged files until the manifest flips below, so
+    // aborting here merely leaves garbage for the next `gc_dir` sweep.
     let staged = if let Some(durable) = &shared.durable {
-        let dir = {
+        let (dir, ckpt_epoch, stats) = {
             let d = durable.lock().map_err(|_| "server state poisoned".to_string())?;
-            d.dir.clone()
+            (d.dir.clone(), d.wal.epoch() + 1, Arc::clone(&d.stats))
         };
         let stage = |e: std::io::Error| format!("checkpoint staging: {e}");
         let store = extmem::TempStore::in_dir(&dir).map_err(stage)?;
@@ -1024,7 +1046,9 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         for path in [&image, &sidecar] {
             std::fs::File::open(path).and_then(|f| f.sync_data()).map_err(stage)?;
         }
-        Some((dir, image, sidecar))
+        let folded_path = wal::folded_sidecar(&image);
+        wal::write_folded(&folded_path, ckpt_epoch, &folded, stats).map_err(stage)?;
+        Some((dir, image, sidecar, folded_path, ckpt_epoch))
     } else {
         None
     };
@@ -1037,7 +1061,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     let mut log = shared.update_log.lock().map_err(|_| "server state poisoned".to_string())?;
     let next_gen = shared.generation_seq.fetch_add(1, Ordering::SeqCst) + 1;
     let mut fresh = Generation::from_flat(flat, Some(ranking), next_gen);
-    let remaining: Vec<(u32, u32, u32)> = log[pinned_len..].to_vec();
+    let remaining: Vec<(u32, u32, u32)> = log.pending[pinned_len..].to_vec();
     if !remaining.is_empty() {
         fresh = fresh.with_updates(&remaining)?;
     }
@@ -1050,11 +1074,14 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
     // side of the flip recovers a consistent state — before it, the old
     // image plus the full old log; after it, the checkpoint plus the
     // tail. Replay is idempotent, so straddling updates are safe.
-    if let Some((dir, image, sidecar)) = staged {
+    if let Some((dir, image, sidecar, folded_path, ckpt_epoch)) = staged {
         let durable = shared.durable.as_ref().expect("staged implies durable");
         let mut d = durable.lock().map_err(|_| "server state poisoned".to_string())?;
         let commit = |e: std::io::Error| format!("checkpoint commit: {e}");
         let new_epoch = d.wal.epoch() + 1;
+        if new_epoch != ckpt_epoch {
+            return Err("aborted: the WAL epoch moved during compaction".to_string());
+        }
         let ckpt = dir.join(wal::checkpoint_image_name(new_epoch));
         let ckpt_rank = {
             let mut s = ckpt.as_os_str().to_os_string();
@@ -1063,6 +1090,7 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         };
         std::fs::rename(&image, &ckpt).map_err(commit)?;
         std::fs::rename(&sidecar, &ckpt_rank).map_err(commit)?;
+        std::fs::rename(&folded_path, wal::folded_sidecar(&ckpt)).map_err(commit)?;
         let mut new_wal = Wal::create(
             &dir.join(wal::wal_file_name(new_epoch)),
             new_epoch,
@@ -1089,13 +1117,29 @@ fn do_compact_inner(shared: &Shared) -> Result<(u64, u64), String> {
         shared.wal_bytes.store(d.wal.bytes(), Ordering::Relaxed);
         shared.checkpoints.fetch_add(1, Ordering::Relaxed);
     }
-    *log = remaining;
+    *log = UpdateLog { folded, pending: remaining };
     {
         let mut cur = shared.current.write().map_err(|_| "server state poisoned".to_string())?;
         *cur = Arc::new(fresh);
     }
     shared.compactions.fetch_add(1, Ordering::Relaxed);
     Ok((generation, vertices))
+}
+
+/// `folded` plus `pinned`, deduplicated: undirected edges normalised to
+/// `s ≤ t`, one entry per edge at its minimum weight. The rebuild's
+/// `GraphBuilder` cleans the same way, so this never changes a graph.
+fn fold_edges(
+    mut folded: Vec<(u32, u32, u32)>,
+    pinned: &[(u32, u32, u32)],
+    directed: bool,
+) -> Vec<(u32, u32, u32)> {
+    folded.extend(
+        pinned.iter().map(|&(s, t, w)| if directed || s <= t { (s, t, w) } else { (t, s, w) }),
+    );
+    folded.sort_unstable();
+    folded.dedup_by_key(|&mut (s, t, _)| (s, t));
+    folded
 }
 
 /// The extended `info` snapshot (protocol v2): everything `stats`

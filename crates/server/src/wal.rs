@@ -91,10 +91,12 @@ pub fn gc_dir(dir: &Path, keep: u64) {
     let keep_wal = wal_file_name(keep);
     let keep_img = checkpoint_image_name(keep);
     let keep_rank = format!("{keep_img}.rank");
+    let keep_folded = format!("{keep_img}.folded");
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name == keep_wal || name == keep_img || name == keep_rank || name == MANIFEST_FILE {
+        let kept = [&keep_wal, &keep_img, &keep_rank, &keep_folded];
+        if kept.iter().any(|k| name == k.as_str()) || name == MANIFEST_FILE {
             continue;
         }
         let stale_wal = name.starts_with("wal-") && name.ends_with(".log");
@@ -104,6 +106,49 @@ pub fn gc_dir(dir: &Path, keep: u64) {
             let _ = std::fs::remove_file(entry.path());
         }
     }
+}
+
+/// The `<image>.folded` sidecar of a checkpoint image: the update
+/// edges (original ids) that compactions folded into the image on top
+/// of the source graph, so the next compaction can rebuild from the
+/// source graph plus these plus the log.
+pub fn folded_sidecar(image: &Path) -> PathBuf {
+    let mut s = image.as_os_str().to_os_string();
+    s.push(".folded");
+    PathBuf::from(s)
+}
+
+/// Write `edges` to `path` in the log format under `epoch`, in records
+/// of at most [`MAX_RECORD_LEN`] bytes, and fsync it.
+pub fn write_folded(
+    path: &Path,
+    epoch: u64,
+    edges: &[WalEdge],
+    stats: Arc<IoStats>,
+) -> std::io::Result<()> {
+    let mut log = Wal::create(path, epoch, Durability::Off, stats)?;
+    for chunk in edges.chunks((MAX_RECORD_LEN as usize - 4) / 12) {
+        log.append(chunk)?;
+    }
+    log.sync()
+}
+
+/// Read a [`write_folded`] sidecar written under `epoch`. A missing
+/// file holds no edges; a wrong epoch or any damaged byte is an error,
+/// since the sidecar was synced before the checkpoint committed and a
+/// partial edge list would silently drop edges from the next rebuild.
+pub fn read_folded(path: &Path, epoch: u64, stats: Arc<IoStats>) -> std::io::Result<Vec<WalEdge>> {
+    if !path.exists() {
+        return Ok(Vec::new());
+    }
+    let replay = read_wal(path, stats)?;
+    if replay.epoch != Some(epoch) || replay.dropped_bytes != 0 {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("{}: damaged folded-edge sidecar for epoch {epoch}", path.display()),
+        ));
+    }
+    Ok(replay.batches.concat())
 }
 
 /// When (if ever) an appended batch is fsynced relative to its ack.
@@ -509,6 +554,22 @@ mod tests {
             assert_eq!(d.to_string(), s);
         }
         assert!("fsync".parse::<Durability>().is_err());
+    }
+
+    #[test]
+    fn folded_sidecar_roundtrips_and_rejects_damage() {
+        let store = TempStore::new().unwrap();
+        let path = store.create("folded").unwrap().path().to_path_buf();
+        let edges = batches().concat();
+        write_folded(&path, 3, &edges, IoStats::shared()).unwrap();
+        assert_eq!(read_folded(&path, 3, IoStats::shared()).unwrap(), edges);
+        assert!(read_folded(&path, 4, IoStats::shared()).is_err(), "wrong epoch");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.pop();
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(read_folded(&path, 3, IoStats::shared()).is_err(), "torn sidecar");
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_folded(&path, 3, IoStats::shared()).unwrap(), Vec::new());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! torn tail is truncated and surfaced in `info`, a mixed-lineage
 //! durability directory is refused at boot, a checkpoint truncates the
 //! WAL and survives a restart booting from its image, an injected
-//! fsync failure rejects the update without killing the server, and an
-//! aborted compaction re-arms and is counted.
+//! fsync failure rejects the update without killing the server, an
+//! aborted compaction re-arms and is counted, and repeated compactions
+//! keep the edges earlier ones folded in, across restarts.
 
 use std::path::{Path, PathBuf};
 
@@ -15,7 +16,8 @@ use hop_doubling::hopdb_server::wal::{self, Durability};
 use hop_doubling::hopdb_server::{serve, Client, ServerConfig};
 use hop_doubling::hoplabels::disk::DiskIndex;
 use hop_doubling::sfgraph::ranking::{rank_vertices, relabel_by_rank, RankBy};
-use hop_doubling::sfgraph::{Dist, Graph, VertexId};
+use hop_doubling::sfgraph::traversal::st_distance;
+use hop_doubling::sfgraph::{Dist, Graph, GraphBuilder, VertexId};
 
 /// Stage `g` the way `hopdb-cli build` would: edge-list file, disk
 /// index, and `.rank` sidecar (see `server_live_updates.rs`).
@@ -289,4 +291,99 @@ fn failed_compaction_is_counted_and_compaction_re_arms() {
     assert_eq!(info.compactions, 0);
     handle.shutdown();
     cleanup(&graph_path, &index_path, &wal_dir);
+}
+
+/// `count` vertex-disjoint pairs at distance ≥ 3 in `g`, so a unit edge
+/// between them changes their answer.
+fn far_pairs(g: &Graph, count: usize) -> Vec<(VertexId, VertexId, Dist)> {
+    let n = g.num_vertices() as VertexId;
+    let mut used = vec![false; n as usize];
+    let mut out = Vec::new();
+    for u in 0..n {
+        for v in (u + 1..n).rev() {
+            if out.len() < count && !used[u as usize] && !used[v as usize] {
+                let d = st_distance(g, u, v);
+                if d >= 3 && d != Dist::MAX {
+                    used[u as usize] = true;
+                    used[v as usize] = true;
+                    out.push((u, v, 1));
+                }
+            }
+        }
+    }
+    assert_eq!(out.len(), count, "graph too small for {count} far pairs");
+    out
+}
+
+/// Graph search answers for `pairs` on `g` plus `extra`.
+fn oracle(
+    g: &Graph,
+    extra: &[(VertexId, VertexId, Dist)],
+    pairs: &[(VertexId, VertexId)],
+) -> Vec<Dist> {
+    let mut b = GraphBuilder::new_undirected(g.num_vertices());
+    for (u, v, w) in g.edge_list().into_iter().chain(extra.iter().copied()) {
+        b.add_weighted_edge(u, v, w);
+    }
+    let mutated = b.build();
+    pairs.iter().map(|&(s, t)| st_distance(&mutated, s, t)).collect()
+}
+
+/// Update A, compact, update B, compact, update C: every acked edge
+/// stays in the answers. The second compaction must rebuild from the
+/// source graph plus the edges the first one folded in, not just the
+/// log since then; with a WAL, a restart keeps them (the checkpoint's
+/// folded edges), and a compaction after the restart keeps them too.
+fn repeated_compactions_keep_folded_edges(tag: &str, with_wal: bool) {
+    let n = 120;
+    let g = glp(&GlpParams::with_density(n, 3.0, 907));
+    let (graph_path, index_path, wal_dir) = stage(&g, tag);
+    let batches: Vec<Vec<(VertexId, VertexId, Dist)>> =
+        far_pairs(&g, 5).chunks(2).map(<[_]>::to_vec).collect();
+    let mut pairs = probes(n);
+    pairs.extend(batches.concat().iter().map(|&(u, v, _)| (u, v)));
+    let want = oracle(&g, &batches.concat(), &pairs);
+    let config = if with_wal {
+        durable_config(&graph_path, &wal_dir, Durability::Always)
+    } else {
+        ServerConfig {
+            threads: 2,
+            source_graph: Some(graph_path.clone()),
+            compact_threshold: 0,
+            ..ServerConfig::default()
+        }
+    };
+
+    let handle = serve("127.0.0.1:0", &index_path, config.clone()).expect("serve");
+    let mut client = Client::connect(handle.local_addr()).expect("connect");
+    for (i, batch) in batches.iter().enumerate() {
+        client.update(batch).expect("update");
+        if i + 1 < batches.len() {
+            client.compact().expect("compact");
+        }
+    }
+    assert_eq!(client.info().expect("info").compactions, 2);
+    assert_eq!(client.query(&pairs).expect("query"), want, "{tag}: after two compactions");
+    handle.shutdown();
+
+    if with_wal {
+        let handle = serve("127.0.0.1:0", &index_path, config).expect("re-serve");
+        let mut client = Client::connect(handle.local_addr()).expect("reconnect");
+        assert_eq!(client.query(&pairs).expect("query"), want, "{tag}: after restart");
+        client.compact().expect("compact after restart");
+        assert_eq!(client.query(&pairs).expect("query"), want, "{tag}: compaction after restart");
+        assert_eq!(client.info().expect("info").overlay_edges, 0);
+        handle.shutdown();
+    }
+    cleanup(&graph_path, &index_path, &wal_dir);
+}
+
+#[test]
+fn repeated_compactions_keep_folded_edges_with_wal() {
+    repeated_compactions_keep_folded_edges("fold-wal", true);
+}
+
+#[test]
+fn repeated_compactions_keep_folded_edges_without_wal() {
+    repeated_compactions_keep_folded_edges("fold-mem", false);
 }
